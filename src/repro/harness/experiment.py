@@ -80,6 +80,21 @@ def generation_for_cell(
     return run
 
 
+def release_canonical(benchmark: str, model: str, wl_cfg: WorkloadConfig) -> None:
+    """Drop one canonical run and every program specialized from it.
+
+    Only sweep pool workers call this, after finishing a group of cells
+    of one canonical key: the pool schedules each key's cells together,
+    so the worker does not replay those programs again.  Inline sweeps
+    and figures never release — :func:`clear_memo` explains why
+    programs are kept by default.
+    """
+    ckey = (benchmark, model, wl_cfg)
+    for pkey in [pkey for pkey in _PROGRAMS if pkey[:3] == ckey]:
+        del _PROGRAMS[pkey]
+    _CANONICAL.pop(ckey, None)
+
+
 def memo_lookup(key: RunKey) -> Optional[MachineStats]:
     """In-process memo probe (shared with :mod:`repro.harness.sweep`)."""
     return _CACHE.get(key)

@@ -12,21 +12,32 @@ def render_table(
     col_width: int = 12,
     first_width: int = 14,
 ) -> str:
-    """Render a simple fixed-width table as a string."""
+    """Render a simple fixed-width table as a string.
+
+    ``col_width`` and ``first_width`` are minimum widths: a column whose
+    widest cell would touch its neighbour grows to keep one space of
+    separation, so long design names never run together.
+    """
+    texts = [[str(c) for c in columns]] + [
+        [str(row[0])] + [
+            f"{c:.2f}" if isinstance(c, float) else str(c) for c in row[1:]
+        ]
+        for row in rows
+    ]
+    widths = [first_width] + [col_width] * (max(map(len, texts)) - 1)
+    for r in texts:
+        for i, text in enumerate(r):
+            widths[i] = max(widths[i], len(text) + 1)
     out = [title, "=" * len(title)]
-    header = f"{columns[0]:<{first_width}}" + "".join(
-        f"{c:>{col_width}}" for c in columns[1:]
-    )
-    out.append(header)
-    out.append("-" * len(header))
-    for row in rows:
-        cells = [f"{str(row[0]):<{first_width}}"]
-        for cell in row[1:]:
-            if isinstance(cell, float):
-                cells.append(f"{cell:>{col_width}.2f}")
-            else:
-                cells.append(f"{str(cell):>{col_width}}")
-        out.append("".join(cells))
+    lines = [
+        f"{r[0]:<{widths[0]}}" + "".join(
+            f"{c:>{w}}" for c, w in zip(r[1:], widths[1:])
+        )
+        for r in texts
+    ]
+    out.append(lines[0])
+    out.append("-" * len(lines[0]))
+    out.extend(lines[1:])
     return "\n".join(out)
 
 

@@ -12,9 +12,13 @@ cells with
 * **per-cell error capture** — one failed cell reports its exception
   class, message and traceback (:class:`CellFailure`), the rest of the
   sweep completes;
+* **canonical-key affinity** — the pool runs one task per group of
+  cells sharing (benchmark, model, workload config), so each canonical
+  program is generated once per campaign and freed by its worker once
+  the group is done (:func:`group_cells`, :func:`_execute_group`);
 * **worker-loss isolation** — a worker that dies (OOM-killed, segfault,
   SIGKILL) poisons only the cell it was running: the pool is respawned
-  and every other in-flight cell is re-executed in isolation, so the
+  and every other unfinished cell is re-executed in isolation, so the
   culprit is identified definitively instead of taking innocent
   neighbours down with a ``BrokenProcessPool``;
 * **per-cell timeouts and bounded retries** — ``timeout`` kills a hung
@@ -41,7 +45,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: test-only fault hooks, read inside the worker: a cell whose label
 #: equals the value of KILL dies by SIGKILL (simulating an OOM-killed or
@@ -57,8 +61,10 @@ from repro.harness.experiment import (
     default_config,
     memo_lookup,
     memo_store,
+    release_canonical,
     run_cell,
 )
+from repro.lang.dialect import dialect_for_design
 from repro.prof.runlog import Progress, RunLog
 from repro.sim.config import TABLE_I, MachineConfig
 from repro.sim.stats import MachineStats
@@ -143,6 +149,11 @@ class SweepCell:
 
     def workload_cfg(self) -> WorkloadConfig:
         return default_config(self.ops_per_thread, self.ops_per_region)
+
+    def canonical_key(self) -> tuple:
+        """(benchmark, model, workload config): every cell sharing it
+        replays a program specialized from one canonical run."""
+        return (self.benchmark, self.model, self.workload_cfg())
 
     def run_key(self) -> RunKey:
         return RunKey(
@@ -512,98 +523,154 @@ def _run_solo(
     return last[0], last[1], last[2], last[3], attempts
 
 
+def _dialect_of(design: str) -> str:
+    try:
+        return dialect_for_design(design).name
+    except ValueError:
+        return design  # unknown design: the cell fails alone in _execute
+
+
+def _split_in_two(group: List[SweepCell]) -> Optional[List[List[SweepCell]]]:
+    """Halve ``group`` along dialect lines, or None if it has one dialect.
+
+    Designs sharing a dialect (strandweaver and no-persist-queue) replay
+    one specialized program, so they always land in the same half.
+    """
+    units: Dict[str, List[SweepCell]] = {}
+    for cell in group:
+        units.setdefault(_dialect_of(cell.design), []).append(cell)
+    if len(units) < 2:
+        return None
+    ordered = list(units.values())
+    sizes = [len(unit) for unit in ordered]
+    cut = min(
+        range(1, len(ordered)),
+        key=lambda k: abs(2 * sum(sizes[:k]) - len(group)),
+    )
+    return [
+        [cell for unit in ordered[:cut] for cell in unit],
+        [cell for unit in ordered[cut:] for cell in unit],
+    ]
+
+
+def group_cells(cells: Sequence[SweepCell], jobs: int) -> List[List[SweepCell]]:
+    """Pool tasks for ``cells``: one group per canonical key.
+
+    A group's worker generates its canonical program once and
+    specializes it per design.  Groups keep first-appearance order.
+    With fewer groups than ``jobs``, the largest group that spans more
+    than one dialect is halved along dialect lines, repeatedly, until
+    every worker has a task or no group can be split, so ``-j`` is not
+    capped at the number of keys.
+    """
+    by_key: Dict[tuple, List[SweepCell]] = {}
+    for cell in cells:
+        by_key.setdefault(cell.canonical_key(), []).append(cell)
+    groups = list(by_key.values())
+    while len(groups) < jobs:
+        splits = [
+            (i, halves)
+            for i, halves in enumerate(map(_split_in_two, groups))
+            if halves is not None
+        ]
+        if not splits:
+            break
+        i, halves = max(splits, key=lambda split: len(groups[split[0]]))
+        groups[i:i + 1] = halves
+    return groups
+
+
+def _execute_group(cells: Sequence[SweepCell]) -> List[Tuple[str, object, float, int]]:
+    """Run one group of cells in a pool worker, then free its programs.
+
+    Calls :func:`_execute` once per cell through the module global, so
+    per-cell outcomes, wall times and wrappers of ``_execute`` stay per
+    cell.  Every cell of a group shares one canonical key; the worker
+    releases that key's programs afterwards, so it holds one key's
+    programs at a time.
+    """
+    try:
+        return [_execute(cell) for cell in cells]
+    finally:
+        head = cells[0]
+        release_canonical(head.benchmark, head.model, head.workload_cfg())
+
+
+#: ``settle(cell, status, payload, seconds, worker pid, attempts)``:
+#: records one cell's final outcome as soon as it is known.
+Settle = Callable[[SweepCell, str, object, float, Optional[int], int], None]
+
+
 def _run_pool(
     unique: List[SweepCell],
     jobs: int,
     timeout: Optional[float],
     retries: int,
+    settle: Settle,
     monitor: Optional[SweepMonitor] = None,
     index_of: Optional[Dict[SweepCell, int]] = None,
-) -> Dict[SweepCell, Tuple[str, object, float, Optional[int], int]]:
+) -> None:
     """Fan cells over a process pool, surviving hangs and dead workers.
 
-    Clean outcomes (ok / cell raised) are attributed in the parallel
-    batch, with failed cells re-batched while they have retries left.  A
-    hang or worker death cannot be attributed safely inside a shared
+    Each pool task is one :func:`group_cells` group, and each final
+    outcome goes to ``settle`` as it is harvested, while the workers
+    are still busy.  Clean outcomes (ok / cell raised) are attributed in
+    the parallel batch, with failed cells regrouped while they have
+    retries left.  A group waits at most ``timeout`` per cell it holds.
+    A hang or worker death cannot be attributed safely inside a shared
     pool — the broken future is not necessarily the broken cell — so the
     pool is torn down and every unfinished cell re-runs through
-    :func:`_run_solo`, where blame is unambiguous.  One poisoned cell
-    therefore fails alone; its neighbours complete on the respawned path.
+    :func:`_run_solo`, where blame is unambiguous and the timeout is
+    exact.  One poisoned cell therefore fails alone; its neighbours
+    complete on the respawned path.
     """
-    outcomes: Dict[SweepCell, Tuple[str, object, float, Optional[int], int]] = {}
     attempts: Dict[SweepCell, int] = {cell: 0 for cell in unique}
 
     def _idx(cell: SweepCell) -> int:
         return index_of.get(cell, 0) if index_of is not None else 0
 
-    def _record(
-        cell: SweepCell, status: str, payload: object, seconds: float,
-        pid: Optional[int],
-    ) -> None:
-        outcomes[cell] = (status, payload, seconds, pid, attempts[cell])
-        if monitor is not None:
-            monitor.finished(
-                cell.label(), _idx(cell), status == "ok", seconds,
-                source="run", worker=pid,
-            )
-
     batch = list(unique)
     solo: List[SweepCell] = []
     while batch:
-        for cell in batch:
-            attempts[cell] += 1
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(batch)))
+        groups = group_cells(batch, jobs)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
         futures = []
-        for cell in batch:
-            if monitor is not None:
-                monitor.started(cell.label(), _idx(cell))
-            futures.append((cell, pool.submit(_execute, cell)))
+        for group in groups:
+            for cell in group:
+                attempts[cell] += 1
+                if monitor is not None:
+                    monitor.started(cell.label(), _idx(cell))
+            futures.append((group, pool.submit(_execute_group, group)))
         retry_batch: List[SweepCell] = []
         broken = False
-        for cell, fut in futures:
-            if broken:
-                # The pool is compromised: harvest finished results,
-                # route everything else through isolated re-execution
-                # (uncharged — the in-flight attempt was aborted through
-                # no fault that can be pinned on the cell yet).
-                done_ok = False
-                if fut.done():
+        try:
+            for group, fut in futures:
+                outcomes = None
+                if not broken or fut.done():
                     try:
-                        status, payload, seconds, pid = fut.result(timeout=0)
-                        done_ok = True
+                        outcomes = fut.result(
+                            timeout=None if timeout is None else timeout * len(group)
+                        )
                     except Exception:
-                        done_ok = False
-                if done_ok:
+                        broken = True
+                if outcomes is None:
+                    # The group hung, or the worker running *some* group
+                    # died and broke the shared pool: which cell is the
+                    # culprit is unknowable from here.  Its cells re-run
+                    # in isolation, uncharged — the aborted attempt
+                    # cannot be pinned on any one of them yet.
+                    for cell in group:
+                        attempts[cell] -= 1
+                        solo.append(cell)
+                    continue
+                for cell, (status, payload, seconds, pid) in zip(group, outcomes):
                     if status == "ok" or attempts[cell] > retries:
-                        _record(cell, status, payload, seconds, pid)
+                        settle(cell, status, payload, seconds, pid, attempts[cell])
                     else:
                         retry_batch.append(cell)
-                else:
-                    attempts[cell] -= 1
-                    solo.append(cell)
-                continue
-            try:
-                status, payload, seconds, pid = fut.result(timeout=timeout)
-            except FuturesTimeout:
-                # `cell` hung (or is starved behind a hung neighbour):
-                # isolation will tell, with the timeout measured fairly
-                # from its own start.
-                broken = True
-                attempts[cell] -= 1
-                solo.append(cell)
-                continue
-            except Exception:
-                # The worker running *some* cell died and broke the
-                # shared pool; which cell is the culprit is unknowable
-                # from here.
-                broken = True
-                attempts[cell] -= 1
-                solo.append(cell)
-                continue
-            if status == "ok" or attempts[cell] > retries:
-                _record(cell, status, payload, seconds, pid)
-            else:
-                retry_batch.append(cell)
+        except BaseException:
+            _kill_pool(pool)
+            raise
         _kill_pool(pool) if broken else pool.shutdown()
         batch = retry_batch
     for cell in solo:
@@ -612,9 +679,7 @@ def _run_pool(
         status, payload, seconds, pid, n_attempts = _run_solo(
             cell, timeout, retries, attempts[cell]
         )
-        attempts[cell] = n_attempts
-        _record(cell, status, payload, seconds, pid)
-    return outcomes
+        settle(cell, status, payload, seconds, pid, n_attempts)
 
 
 def run_sweep(
@@ -649,31 +714,16 @@ def run_sweep(
 
     unique = plan.outstanding()
     first_index = plan.first_index()
-    if (jobs > 1 or timeout is not None) and unique:
-        by_cell = _run_pool(
-            unique, max(jobs, 1), timeout, retries,
-            monitor=monitor if monitor.enabled else None,
-            index_of=first_index,
-        )
-        outcomes = [(cell,) + by_cell[cell] for cell in unique]
-    else:
-        outcomes = []
-        for cell in unique:
-            if monitor.enabled:
-                monitor.started(cell.label(), first_index[cell])
-            status, payload, seconds, pid = _execute(cell)
-            attempts = 1
-            while status != "ok" and attempts <= retries:
-                status, payload, seconds, pid = _execute(cell)
-                attempts += 1
-            if monitor.enabled:
-                monitor.finished(
-                    cell.label(), first_index[cell], status == "ok", seconds,
-                    source="run", worker=pid,
-                )
-            outcomes.append((cell, status, payload, seconds, pid, attempts))
 
-    for cell, status, payload, seconds, _pid, attempts in outcomes:
+    def settle(
+        cell: SweepCell, status: str, payload: object, seconds: float,
+        pid: Optional[int], attempts: int,
+    ) -> None:
+        if monitor.enabled:
+            monitor.finished(
+                cell.label(), first_index[cell], status == "ok", seconds,
+                source="run", worker=pid,
+            )
         res = settle_outcome(
             plan, cell, status, payload, seconds, attempts,
             cache=cache, use_memo=use_memo,
@@ -683,6 +733,23 @@ def run_sweep(
             # campaign's done-count reaches the input cell total.
             for idx in plan.pending[cell][1:]:
                 monitor.finished(cell.label(), idx, res.ok, 0.0, source="memo")
+
+    if (jobs > 1 or timeout is not None) and unique:
+        _run_pool(
+            unique, max(jobs, 1), timeout, retries, settle,
+            monitor=monitor if monitor.enabled else None,
+            index_of=first_index,
+        )
+    else:
+        for cell in unique:
+            if monitor.enabled:
+                monitor.started(cell.label(), first_index[cell])
+            status, payload, seconds, pid = _execute(cell)
+            attempts = 1
+            while status != "ok" and attempts <= retries:
+                status, payload, seconds, pid = _execute(cell)
+                attempts += 1
+            settle(cell, status, payload, seconds, pid, attempts)
 
     final = plan.finish()
     result = SweepResult(

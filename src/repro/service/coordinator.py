@@ -309,7 +309,10 @@ class Coordinator:
 
         outstanding = plan.outstanding()
         tasks = [
-            Task(task_id=i, kind="sweep-cell", payload=cell, label=cell.label())
+            Task(
+                task_id=i, kind="sweep-cell", payload=cell, label=cell.label(),
+                affinity=cell.canonical_key(),
+            )
             for i, cell in enumerate(outstanding)
         ]
         lock = threading.Lock()

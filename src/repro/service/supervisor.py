@@ -22,7 +22,11 @@ kill-pool hardening:
   ``retries``; exhaustion yields a typed outcome, never an exception —
   graceful degradation to a partial-results campaign;
 * **dead-worker respawn** — the crew is kept at strength until every
-  task settles.
+  task settles;
+* **affinity dispatch** — an idle worker prefers a task whose
+  ``affinity`` key it already ran, then a key no live worker holds, so
+  a sweep's canonical programs are generated once per key, not once
+  per worker that happens to draw one of its cells.
 
 Task payloads are the engines' own units: a ``sweep-cell`` task wraps
 :func:`repro.harness.sweep._execute` (inheriting its test-only
@@ -43,9 +47,9 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from queue import Empty
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 #: test-only: SIGKILL the worker the first time it dequeues a task with
 #: this label (one-shot via a marker file in the supervisor scratch dir).
@@ -79,6 +83,10 @@ class Task:
     kind: str  #: ``sweep-cell`` | ``soak-range``
     payload: object
     label: str = ""
+    #: tasks with equal (hashable) affinity reuse state a worker builds
+    #: up, such as a sweep cell's canonical program: dispatch prefers
+    #: the worker that already ran one (see :func:`pick_task`).
+    affinity: Optional[Hashable] = None
 
 
 @dataclass
@@ -207,6 +215,8 @@ class _WorkerHandle:
     current: Optional["_TaskState"] = None
     deadline: Optional[float] = None
     last_hb: float = 0.0
+    #: affinity keys of every task dispatched to this worker.
+    affinities: Set[Hashable] = field(default_factory=set)
 
 
 @dataclass
@@ -214,6 +224,34 @@ class _TaskState:
     task: Task
     attempts: int = 0
     not_before: float = 0.0
+
+
+def pick_task(
+    ready: List[_TaskState],
+    now: float,
+    mine: Set[Hashable],
+    held: Set[Hashable],
+) -> Optional[int]:
+    """Index into ``ready`` of the task an idle worker should run next.
+
+    ``ready`` is sorted by (``not_before``, task id); tasks still cooling
+    down are never picked.  In order of preference: a task whose
+    affinity this worker already ran (``mine``); a task whose affinity
+    no live worker holds (``held``); ``ready[0]``.  None if ``ready[0]``
+    is still cooling down.
+    """
+    if not ready or ready[0].not_before > now:
+        return None
+    eligible = [
+        i for i, state in enumerate(ready) if state.not_before <= now
+    ]
+    for i in eligible:
+        if ready[i].task.affinity is not None and ready[i].task.affinity in mine:
+            return i
+    for i in eligible:
+        if ready[i].task.affinity is not None and ready[i].task.affinity not in held:
+            return i
+    return 0
 
 
 class WorkerSupervisor:
@@ -426,14 +464,21 @@ class WorkerSupervisor:
                 # 4. Dispatch ready tasks to idle workers.
                 if ready:
                     ready.sort(key=lambda s: (s.not_before, s.task.task_id))
+                    held = set().union(
+                        *(h.affinities for h in self._workers.values())
+                    )
                     for wid, handle in self._workers.items():
                         if not ready:
                             break
                         if handle.current is not None:
                             continue
-                        if ready[0].not_before > now:
+                        pick = pick_task(ready, now, handle.affinities, held)
+                        if pick is None:
                             break  # earliest task still cooling down
-                        state = ready.pop(0)
+                        state = ready.pop(pick)
+                        if state.task.affinity is not None:
+                            handle.affinities.add(state.task.affinity)
+                            held.add(state.task.affinity)
                         state.attempts += 1
                         handle.current = state
                         handle.deadline = (

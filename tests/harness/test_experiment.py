@@ -4,11 +4,14 @@ import dataclasses
 
 import pytest
 
+from repro.harness import experiment
 from repro.harness.experiment import (
     ALL_DESIGNS,
     ALL_MODELS,
     clear_cache,
     default_config,
+    generation_for_cell,
+    release_canonical,
     run_cell,
 )
 from repro.sim.config import TABLE_I
@@ -74,3 +77,16 @@ def test_cache_distinguishes_cache_timing():
     )
     assert a is not b
     assert a.cycles != b.cycles
+
+
+def test_release_canonical_drops_one_key_only():
+    clear_cache()
+    cfg = default_config(ops_per_thread=4)
+    for design in ("intel-x86", "strandweaver", "no-persist-queue"):
+        generation_for_cell("queue", design, "txn", cfg)
+    kept = generation_for_cell("queue", "intel-x86", "atlas", cfg)
+    assert len(experiment._PROGRAMS) == 3  # x86 + strand for txn, x86 for atlas
+    release_canonical("queue", "txn", cfg)
+    assert list(experiment._PROGRAMS.values()) == [kept]
+    assert list(experiment._CANONICAL) == [("queue", "atlas", cfg)]
+    clear_cache()

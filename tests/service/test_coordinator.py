@@ -101,6 +101,32 @@ class TestSweepCampaign:
         assert sources <= {"memo", "cache"}
         assert outcome1.result_doc == outcome2.result_doc
 
+    def test_tasks_sharing_a_canonical_key_run_on_one_worker(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness.experiment import clear_cache
+        from repro.service.supervisor import TEST_SLEEP_ENV
+
+        clear_cache()  # every cell must run as a task, not memo-hit
+        # Pacing dwarfs generation-time differences between the keys,
+        # so no worker runs out of its own key's tasks while the other
+        # key still has some queued.
+        monkeypatch.setenv(TEST_SLEEP_ENV, "0.3")
+        spec = _sweep_spec(
+            workloads=["queue", "hashmap"],
+            designs=["intel-x86", "hops", "strandweaver"],
+        )
+        outcome, d = _run(tmp_path, spec)
+        assert outcome.status == "finished" and outcome.errors == 0
+        workers = {}
+        for rec in read_journal(os.path.join(d, "journal.jsonl")):
+            if rec["event"] == "cell-done":
+                assert rec["source"] == "run"
+                benchmark, _design, model = rec["cell"].split("/")
+                workers.setdefault((benchmark, model), set()).add(rec["worker"])
+        assert len(workers) == 2
+        assert all(len(pids) == 1 for pids in workers.values()), workers
+
     def test_cancel_before_start_settles_as_cancelled(self, tmp_path):
         from repro.harness.experiment import clear_cache
 

@@ -10,6 +10,8 @@ from repro.service.supervisor import (
     SupervisorConfig,
     Task,
     WorkerSupervisor,
+    _TaskState,
+    pick_task,
 )
 
 
@@ -123,3 +125,30 @@ class TestEmptyAndCancelled:
             tasks, cancel=cancel
         )
         assert {o.status for o in outcomes.values()} == {"cancelled"}
+
+
+class TestAffinityDispatch:
+    @staticmethod
+    def _ready(*affinities, not_before=0.0):
+        return [
+            _TaskState(Task(task_id=i, kind="sweep-cell", payload=None,
+                            affinity=key), not_before=not_before)
+            for i, key in enumerate(affinities)
+        ]
+
+    def test_prefers_a_key_this_worker_already_ran(self):
+        ready = self._ready("a", "b", "c")
+        assert pick_task(ready, 1.0, mine={"c"}, held={"a", "c"}) == 2
+
+    def test_then_a_key_no_live_worker_holds(self):
+        ready = self._ready("a", "b", "c")
+        assert pick_task(ready, 1.0, mine=set(), held={"a"}) == 1
+
+    def test_then_the_head_of_the_queue(self):
+        ready = self._ready("a", None, "b")
+        assert pick_task(ready, 1.0, mine=set(), held={"a", "b"}) == 0
+
+    def test_cooling_down_tasks_are_never_picked(self):
+        ready = self._ready("a") + self._ready("b", not_before=5.0)
+        assert pick_task(ready, 1.0, mine={"b"}, held={"a", "b"}) == 0
+        assert pick_task(self._ready("a", not_before=5.0), 1.0, set(), set()) is None
